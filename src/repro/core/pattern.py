@@ -20,6 +20,29 @@ from ..errors import PlanError
 __all__ = ["CommPattern", "PatternDelta", "PatternStats"]
 
 
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in ``keys``.
+
+    On sorted keys the masked elements are exactly the distinct values,
+    in order, and each masked position starts one value's run.
+    """
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def sort_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for a 1-D integer array, by sort and run scan.
+
+    Equal to ``np.unique`` in values and dtype; NumPy's plain
+    ``np.unique`` takes a hash path that is many times slower on the
+    large int64 key arrays patterns and plans are built from.
+    """
+    s = np.sort(keys)
+    return s[run_starts(s)]
+
+
 @dataclass(frozen=True)
 class PatternStats:
     """Per-process message statistics of a pattern (BL / direct view).
@@ -83,7 +106,7 @@ class CommPattern:
             if size.min() < 0:
                 raise PlanError("message sizes must be non-negative")
             key = src * K + dst
-            if np.unique(key).size != key.size:
+            if sort_unique(key).size != key.size:
                 raise PlanError(
                     "pattern contains duplicate (src, dst) pairs; "
                     "merge them with CommPattern.from_arrays(..., merge=True)"
@@ -106,7 +129,7 @@ class CommPattern:
         Only for arrays whose invariants are already guaranteed — e.g.
         the output of :meth:`apply_delta`, where survivors were valid
         and additions were checked against the survivor key set.  The
-        public constructor's ``np.unique`` duplicate scan is the single
+        public constructor's duplicate scan is the single
         most expensive step of an incremental plan repair, and it would
         re-prove what the delta validation already established.
         """
@@ -543,7 +566,7 @@ class PatternDelta:
                 if (s == d).any():
                     raise PlanError(f"{name} edges contain self messages (src == dst)")
                 key = s * np.int64(K) + d
-                if np.unique(key).size != key.size:
+                if sort_unique(key).size != key.size:
                     raise PlanError(f"{name} edges contain duplicate (src, dst) pairs")
             return s, d
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import PlanError
-from .pattern import CommPattern, PatternDelta
+from .pattern import CommPattern, PatternDelta, run_starts
 from .vpt import VirtualProcessTopology
 
 __all__ = [
@@ -49,7 +49,7 @@ class StageSchedule:
 
     ``route_key`` optionally carries the strictly increasing
     ``sender * K + receiver`` array of a coalesced build (the
-    ``np.unique`` output the stage was aggregated on).  It is derived
+    distinct sorted keys the stage was aggregated on).  It is derived
     data — not serialized, not compared — kept so the incremental
     repair path can skip recomputing and re-verifying the canonical
     key order on every drift step.
@@ -346,8 +346,8 @@ def _merge_stage_arrays(
     """Fold an aggregated stage delta into coalesced stage arrays.
 
     ``key`` is the stage's ``sender * K + receiver`` array, which must
-    be strictly increasing — canonical coalesced form, exactly what
-    ``np.unique`` produces in the full build — so the merged result is
+    be strictly increasing — canonical coalesced form, exactly the
+    distinct sorted keys of the full build — so the merged result is
     byte-identical to rebuilding the stage from the drifted pattern.
     Returns ``(sender, receiver, nsub, payload, key)`` with the merged
     key array kept for the next repair round.
@@ -464,13 +464,15 @@ class PlanBuilder:
             route_key = None  # duplicate routes: not repairable in place
         elif senders.size:
             mkey = senders * np.int64(K) + receivers
-            order = np.argsort(mkey, kind="stable")
+            # each message is one run of equal keys; its fields are
+            # integer counts and sums, which no order within a run can
+            # change, so the faster unstable sort groups them as well
+            order = np.argsort(mkey)
             key_sorted = mkey[order]
-            uniq = np.unique(key_sorted)
-            inv = np.empty(mkey.size, dtype=np.int64)
-            inv[order] = np.searchsorted(uniq, key_sorted)
-            nsub = np.bincount(inv, minlength=uniq.size).astype(np.int64)
-            payload = np.bincount(inv, weights=sizes, minlength=uniq.size).astype(np.int64)
+            starts = np.flatnonzero(run_starts(key_sorted))
+            uniq = key_sorted[starts]
+            nsub = np.diff(starts, append=key_sorted.size)
+            payload = np.add.reduceat(sizes[order], starts)
             msg_sender = (uniq // K).astype(np.int64)
             msg_receiver = (uniq % K).astype(np.int64)
             route_key = uniq

@@ -73,6 +73,7 @@ from ..errors import DeadlockError, PendingOp, PlanError
 from ..simmpi.faults import FaultPlan
 from ..simmpi.integrity import corrupt_draw, flip_payload, payload_checksum
 from ..simmpi.message import TIMEOUT, RunResult
+from ..simmpi.payloads import ColumnarPayloads
 from ..simmpi.reliable import ReliableComm
 from ..simmpi.runtime import Comm, SimMPI, run_spmd
 from .pattern import CommPattern, PatternDelta
@@ -907,13 +908,13 @@ def direct_ft_process(
 def _default_payloads(pattern: CommPattern) -> list[dict[int, np.ndarray]]:
     """Per-rank SendSets with synthetic verifiable payloads.
 
-    Message ``m_ij`` carries the words ``[i * K + j] * size`` so that a
-    delivered payload identifies its (source, destination) pair.
+    The dict view of :meth:`ColumnarPayloads.synthetic
+    <repro.simmpi.payloads.ColumnarPayloads.synthetic>`: message
+    ``m_ij`` carries the words ``[i * K + j] * size`` so that a
+    delivered payload identifies its (source, destination) pair.  Each
+    payload is a view into one shared int64 buffer.
     """
-    send_data: list[dict[int, np.ndarray]] = [{} for _ in range(pattern.K)]
-    for s, t, w in zip(pattern.src, pattern.dst, pattern.size):
-        send_data[int(s)][int(t)] = np.full(int(w), int(s) * pattern.K + int(t), dtype=np.int64)
-    return send_data
+    return ColumnarPayloads.synthetic(pattern).to_dicts()
 
 
 def _run_spmd_on_fault(
@@ -1086,10 +1087,15 @@ def run_exchange(
     ``tracer`` is an optional :class:`repro.obs.Tracer` receiving
     engine events plus per-stage spans and ``stfw.*`` counters.
 
-    ``engine`` selects the simulation backend (``"event"`` or
-    ``"sharded"``; see :mod:`repro.simmpi.engine`) and ``workers`` the
-    sharded backend's process count; both forward to
-    :func:`~repro.simmpi.runtime.run_spmd`.  ``on_fault="partial"``
+    ``engine`` selects the simulation backend (``"event"``,
+    ``"sharded"`` or ``"batch"``; see :mod:`repro.simmpi.engine`) and
+    ``workers`` the sharded backend's process count; both forward to
+    :func:`~repro.simmpi.runtime.run_spmd`.  ``"batch"`` runs planned,
+    fault-free exchanges only, as whole-stage array sweeps: it takes the
+    payloads as :class:`~repro.simmpi.payloads.ColumnarPayloads` and,
+    with ``payloads=None``, builds the synthetic columns directly, so
+    each delivered default payload is a 1-D int64 view into one shared
+    buffer.  ``on_fault="partial"``
     requires the event engine: the salvage path reads deliveries out
     of engine-side sinks that live in the coordinator's address space,
     which forked shard workers cannot fill.  Extra keyword arguments
@@ -1149,7 +1155,7 @@ def run_exchange(
                     f"{knob}={value!r} only applies with on_fault='tolerate' "
                     f"(got on_fault={on_fault!r})"
                 )
-    if payloads is None:
+    if payloads is None and not planned_only:
         payloads = _default_payloads(pattern)
     # application-layer corruption sites travel with the fault plan, not
     # as user-facing knobs: the exchange consults them via pure draws
@@ -1210,11 +1216,15 @@ def run_exchange(
             workers=workers,
             **engine_kwargs,
         )
+        if payloads is None:
+            columns = ColumnarPayloads.synthetic(pattern)
+        else:
+            columns = ColumnarPayloads.from_dicts(payloads, pattern.K)
         if kind == "stfw":
             batch_plan = build_plan(pattern, vpt, header_words=header_words)
-            run = sim.run_planned_stfw(vpt, batch_plan, payloads)
+            run = sim.run_planned_stfw(vpt, batch_plan, columns)
             return ExchangeResult(delivered=run.returns, run=run, plan=batch_plan)
-        run = sim.run_planned_direct(payloads, pattern.recv_counts())
+        run = sim.run_planned_direct(columns, pattern.recv_counts())
         return ExchangeResult(delivered=run.returns, run=run, plan=None)
 
     if kind == "stfw":

@@ -18,6 +18,7 @@ from .discovery import DISCOVERY_TAG, DiscoveryStats, nbx_discover
 from .engine import Engine, engine_names, register_engine, resolve_engine
 from .faults import FaultEvent, FaultPlan, LinkOutage
 from .integrity import corrupt_draw, flip_array, flip_payload, payload_checksum
+from .payloads import ColumnarPayloads
 from .message import ANY_SOURCE, ANY_TAG, TIMEOUT, Envelope, RunResult, TraceRecord
 from .policy import ESCALATION_LADDER, CircuitBreaker, EscalationPolicy, PolicyConfig
 from .reliable import ReliableComm, ReliableStats, retry_jitter
@@ -32,6 +33,7 @@ __all__ = [
     "register_engine",
     "resolve_engine",
     "RunResult",
+    "ColumnarPayloads",
     "Envelope",
     "TraceRecord",
     "ANY_SOURCE",

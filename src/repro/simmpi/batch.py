@@ -8,7 +8,7 @@ array sweeps instead of per-message Python events:
 
 * per-stage send/recv message arrays come straight from the
   :class:`~repro.core.plan.CommPlan`'s coalesced stage arrays (BL is a
-  single implicit stage built from the payload dicts);
+  single implicit stage built from the payload columns);
 * arrival times come from the vectorized machine cost model
   (:func:`repro.network.timing.send_cost_many` /
   :func:`~repro.network.timing.recv_cost_many` — the same hop-cost
@@ -49,7 +49,7 @@ runs — never silently mis-simulated.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -57,41 +57,10 @@ from ..errors import EngineConfigError, PlanError, SimMPIError
 from ..network.machines import Machine
 from ..network.timing import recv_cost_many, send_cost_many
 from .message import RunResult, TraceRecord
+from .payloads import ColumnarPayloads
 from .runtime import RECV_ALPHA_FRACTION, SimMPI, trace_sort_key
 
 __all__ = ["BatchSimMPI"]
-
-
-def _edges_from_payloads(
-    payloads: Sequence[Mapping[int, Any]], K: int
-) -> tuple[list[int], list[int], list[Any], np.ndarray]:
-    """Flatten per-rank payload dicts into edge arrays, dict order kept.
-
-    The flat order — ranks ascending, and within a rank the dict's
-    insertion order — is exactly the order the event engine's process
-    functions iterate ``send_data.items()``, which is what makes the
-    per-sender send sequence (and hence every ``seq`` tie-break)
-    reproducible.
-    """
-    esrc: list[int] = []
-    edst: list[int] = []
-    epay: list[Any] = []
-    if len(payloads) != K:
-        raise SimMPIError(
-            f"engine='batch' got {len(payloads)} payload dicts for K={K} ranks"
-        )
-    for r, send_data in enumerate(payloads):
-        for dst, payload in send_data.items():
-            esrc.append(r)
-            edst.append(int(dst))
-            epay.append(payload)
-    sizes = np.empty(len(epay), dtype=np.int64)
-    for i, payload in enumerate(epay):
-        try:
-            sizes[i] = len(payload)
-        except TypeError as exc:
-            raise PlanError("payloads must be sized (len()-able) objects") from exc
-    return esrc, edst, epay, sizes
 
 
 class BatchSimMPI(SimMPI):
@@ -204,16 +173,15 @@ class BatchSimMPI(SimMPI):
     def _sweep_sends(
         self,
         clocks: np.ndarray,
-        base_seq: np.ndarray,
         snd: np.ndarray,
         rcv: np.ndarray,
         words: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Advance sender clocks for one stage; return start/arrive/seq.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance sender clocks for one stage; return start/arrive/counts.
 
         ``snd`` must be sorted ascending with each sender's messages in
         its program send order (true for plan stage arrays and for the
-        rank-major payload-dict flattening).  The ``j``-th send of every
+        rank-major payload columns).  The ``j``-th send of every
         rank is one vector op, so the per-element float sequence
         ``start = clock; clock += cost`` matches the scalar engine.
         """
@@ -243,32 +211,31 @@ class BatchSimMPI(SimMPI):
             clocks[senders] = after
             start[idx] = before
             arrive[idx] = after
-        seq = base_seq[snd] + pos
-        base_seq += cnt_s
-        return start, arrive, seq, cnt_s
+        return start, arrive, cnt_s
 
     def _sweep_recvs(
         self,
         clocks: np.ndarray,
-        snd: np.ndarray,
         rcv: np.ndarray,
         words: np.ndarray,
         arrive: np.ndarray,
-        seq: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fold one stage's deliveries into receiver clocks.
 
         Returns the message indices in global delivery order (receivers
         ascending, then the conservative gate's canonical
         ``(arrive_time, source, seq)`` match order) plus per-rank
-        receive counts.  The ``j``-th delivery of every rank is one
+        receive counts.  Messages come in :meth:`_sweep_sends` order —
+        senders ascending, each in its send (``seq``) order — so a
+        stable sort on ``(receiver, arrive_time)`` alone breaks ties by
+        ``(source, seq)``.  The ``j``-th delivery of every rank is one
         Lindley fold ``clock = max(clock, arrive) + recv_cost`` — the
         scalar engine's ``_deliver`` elementwise.
         """
         K = self.K
-        nm = snd.size
+        nm = rcv.size
         rc = recv_cost_many(self.machine, words, alpha_fraction=RECV_ALPHA_FRACTION)
-        dord = np.lexsort((seq, snd, arrive, rcv))
+        dord = np.lexsort((arrive, rcv))
         cnt_r = np.bincount(rcv, minlength=K)
         off_r = np.cumsum(cnt_r) - cnt_r
         posr = np.arange(nm, dtype=np.int64) - off_r[rcv[dord]]
@@ -280,6 +247,13 @@ class BatchSimMPI(SimMPI):
             receivers = rcv[m]
             clocks[receivers] = np.maximum(clocks[receivers], arrive[m]) + rc[m]
         return dord, cnt_r
+
+    def _check_payload_K(self, payloads: ColumnarPayloads) -> None:
+        if payloads.K != self.K:
+            raise SimMPIError(
+                f"engine='batch' got payloads for K={payloads.K} ranks, "
+                f"engine K={self.K}"
+            )
 
     def _emit_engine_counters(
         self,
@@ -353,30 +327,29 @@ class BatchSimMPI(SimMPI):
         self,
         vpt,
         plan,
-        payloads: Sequence[Mapping[int, Any]],
+        payloads: ColumnarPayloads,
     ) -> RunResult:
         """Execute a planned STFW exchange as whole-stage sweeps.
 
         ``plan`` must be the :func:`~repro.core.plan.build_plan` output
         for ``(plan.pattern, vpt)`` with the desired ``header_words``;
-        ``payloads[r]`` is rank ``r``'s ``{destination: payload}`` dict
-        (insertion order = the rank's send order, as in
-        ``stfw_process``).  Returns the bit-identical ``RunResult`` of
-        the event engine; ``returns[r]`` is rank ``r``'s delivered
-        ``(origin, payload)`` list.
+        ``payloads`` holds one payload per pattern edge, in rank-major
+        send order (see :class:`~repro.simmpi.payloads.ColumnarPayloads`).
+        Returns the bit-identical ``RunResult`` of the event engine;
+        ``returns[r]`` is rank ``r``'s delivered ``(origin, payload)``
+        list.
         """
         K = self.K
         if vpt.K != K:
             raise SimMPIError(f"vpt K={vpt.K} does not match engine K={K}")
+        self._check_payload_K(payloads)
         n = vpt.n
-        esrc_l, edst_l, epay, esize = _edges_from_payloads(payloads, K)
-        E = len(epay)
-        esrc = np.asarray(esrc_l, dtype=np.int64)
-        edst = np.asarray(edst_l, dtype=np.int64)
+        esrc, edst, esize = payloads.src, payloads.dst, payloads.size
+        E = payloads.num_edges
 
-        # payload dicts must agree with the planned pattern — on any
-        # mismatch the event engine would stall mid-exchange, so refuse
-        # up front instead of mis-simulating
+        # payloads must agree with the planned pattern — on any mismatch
+        # the event engine would stall mid-exchange, so refuse up front
+        # instead of mis-simulating
         pat = plan.pattern
         ekey = esrc * K + edst
         pkey = pat.src.astype(np.int64) * K + pat.dst
@@ -387,7 +360,7 @@ class BatchSimMPI(SimMPI):
             and np.array_equal(esize[eorder], pat.size[porder].astype(np.int64))
         ):
             raise SimMPIError(
-                "engine='batch': payload dicts disagree with the planned "
+                "engine='batch': payloads disagree with the planned "
                 "pattern (missing/extra destinations or wrong payload sizes); "
                 "the event engine would deadlock here — fix the payloads or "
                 "rebuild the plan"
@@ -426,7 +399,6 @@ class BatchSimMPI(SimMPI):
         obs = self._obs
         trace_on = self._trace_enabled
         clocks = np.zeros(K, dtype=np.float64)
-        base_seq = np.zeros(K, dtype=np.int64)
         trace_parts: list = []
         total_sends = np.zeros(K, dtype=np.int64)
         total_sent_words = np.zeros(K, dtype=np.float64)
@@ -438,12 +410,12 @@ class BatchSimMPI(SimMPI):
         # routing state for the ordered replay, fully vectorized.  Each
         # (edge, hop) carries an *arrival key*: the global position at
         # which the edge entered the forward buffer feeding that hop.
-        # Setup-phase first hops use the edge index (payload dicts are
-        # enumerated in rank/dict order before any stage runs); keys
+        # Setup-phase first hops use the edge index (edges are enumerated
+        # in rank-major send order before any stage runs); keys
         # assigned during the stages start at E and grow monotonically,
         # so sorting a stage's hops by (message delivery position,
         # arrival key) reproduces the event engine's bundle order
-        # exactly — setup entries first in dict order, then forwarded
+        # exactly — setup entries first in send order, then forwarded
         # arrivals in delivery order — without a per-message Python walk.
         nhops = e_idx.shape[0]
         hop_key = np.empty(nhops, dtype=np.int64)
@@ -471,10 +443,8 @@ class BatchSimMPI(SimMPI):
             rcv = st.receiver.astype(np.int64, copy=False)
             words = st.total_words.astype(np.int64, copy=False)
 
-            start, arrive, seq, cnt_s = self._sweep_sends(
-                clocks, base_seq, snd, rcv, words
-            )
-            dord, cnt_r = self._sweep_recvs(clocks, snd, rcv, words, arrive, seq)
+            start, arrive, cnt_s = self._sweep_sends(clocks, snd, rcv, words)
+            dord, cnt_r = self._sweep_recvs(clocks, rcv, words, arrive)
 
             hsel = sorder[sbounds[d] : sbounds[d + 1]]
             if trace_on:
@@ -543,12 +513,7 @@ class BatchSimMPI(SimMPI):
             dr = np.concatenate(del_rank_parts)
             de = np.concatenate(del_edge_parts)
             gord = np.argsort(dr, kind="stable")
-            gb = np.searchsorted(dr[gord], np.arange(K + 1)).tolist()
-            de_l = de[gord].tolist()
-            delivered: list[list[tuple[int, Any]]] = [
-                [(esrc_l[e], epay[e]) for e in de_l[gb[q] : gb[q + 1]]]
-                for q in range(K)
-            ]
+            delivered = payloads.deliver(de[gord], np.bincount(dr, minlength=K))
         else:
             delivered = [[] for _ in range(K)]
 
@@ -576,20 +541,20 @@ class BatchSimMPI(SimMPI):
 
     def run_planned_direct(
         self,
-        payloads: Sequence[Mapping[int, Any]],
+        payloads: ColumnarPayloads,
         expected_counts: np.ndarray,
     ) -> RunResult:
         """Execute the direct baseline as one vectorized sweep.
 
+        ``payloads`` holds one message per edge in rank-major send order.
         ``expected_counts[r]`` is the receive count rank ``r`` would be
         given in ``direct_process`` (from the pattern, or the driver's
-        own accounting); it must agree with the payload dicts — a
-        mismatch would stall the event engine, so it is refused by name.
+        own accounting); it must agree with the payloads — a mismatch
+        would stall the event engine, so it is refused by name.
         """
         K = self.K
-        esrc_l, edst_l, epay, esize = _edges_from_payloads(payloads, K)
-        snd = np.asarray(esrc_l, dtype=np.int64)
-        rcv = np.asarray(edst_l, dtype=np.int64)
+        self._check_payload_K(payloads)
+        snd, rcv, esize = payloads.src, payloads.dst, payloads.size
         expected = np.asarray(expected_counts, dtype=np.int64)
         if expected.shape != (K,):
             raise SimMPIError(
@@ -601,27 +566,22 @@ class BatchSimMPI(SimMPI):
             bad = int(np.nonzero(actual != expected)[0][0])
             raise SimMPIError(
                 "engine='batch': direct-exchange receive counts disagree with "
-                f"the payload dicts (rank {bad} expects {int(expected[bad])} "
-                f"messages but the dicts send it {int(actual[bad])}); the "
+                f"the payloads (rank {bad} expects {int(expected[bad])} "
+                f"messages but the payloads send it {int(actual[bad])}); the "
                 "event engine would deadlock here"
             )
 
         obs = self._obs
         clocks = np.zeros(K, dtype=np.float64)
-        base_seq = np.zeros(K, dtype=np.int64)
         delivered: list[list[tuple[int, Any]]] = [[] for _ in range(K)]
         trace_parts: list = []
-        nm = snd.size
+        nm = payloads.num_edges
         if nm:
-            start, arrive, seq, cnt_s = self._sweep_sends(
-                clocks, base_seq, snd, rcv, esize
-            )
-            dord, cnt_r = self._sweep_recvs(clocks, snd, rcv, esize, arrive, seq)
+            start, arrive, cnt_s = self._sweep_sends(clocks, snd, rcv, esize)
+            dord, cnt_r = self._sweep_recvs(clocks, rcv, esize, arrive)
             if self._trace_enabled:
                 trace_parts.append((snd, rcv, 0, esize, start, arrive))
-            rcv_l = rcv.tolist()
-            for m in dord.tolist():
-                delivered[rcv_l[m]].append((esrc_l[m], epay[m]))
+            delivered = payloads.deliver(dord, cnt_r)
             if obs is not None:
                 obs.count("direct.messages", int(nm))
                 obs.count("direct.words", int(esize.sum()))

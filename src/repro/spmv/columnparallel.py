@@ -194,21 +194,25 @@ def _colparallel_impl(
         # vectorized fold: run the exchange through the batch executors,
         # then replay each rank's accumulation in the engine's exact
         # delivery order (the += fold is float-order-sensitive)
+        from ..simmpi.payloads import ColumnarPayloads
         from ..simmpi.runtime import SimMPI
 
         sim = SimMPI(K, machine=machine, engine=engine, workers=workers)
-        sized_payloads = [
-            {q: _SizedPair(send_rows[p][q], send_vals[p][q]) for q in send_rows[p]}
-            for p in range(K)
-        ]
+        columns = ColumnarPayloads.from_dicts(
+            [
+                {q: _SizedPair(send_rows[p][q], send_vals[p][q]) for q in send_rows[p]}
+                for p in range(K)
+            ],
+            K,
+        )
         if vpt is None:
             dsts = [q for p in range(K) for q in send_rows[p]]
             expected = np.bincount(
                 np.asarray(dsts, dtype=np.int64), minlength=K
             ) if dsts else np.zeros(K, dtype=np.int64)
-            run = sim.run_planned_direct(sized_payloads, expected)
+            run = sim.run_planned_direct(columns, expected)
         else:
-            run = sim.run_planned_stfw(vpt, plan, sized_payloads)
+            run = sim.run_planned_stfw(vpt, plan, columns)
         rank_returns = []
         for p in range(K):
             y_local = partials[p].copy()

@@ -154,18 +154,22 @@ def distributed_spmv(
         # batch path: run the exchange as whole-stage sweeps, then do
         # each rank's x assembly and local multiply outside the engine
         # (x_full[idx] = payload writes disjoint slots, order-free)
+        from ..simmpi.payloads import ColumnarPayloads
         from ..simmpi.runtime import SimMPI
 
         sim = SimMPI(K, machine=machine, engine=engine, workers=workers)
-        payloads = [
-            {dst: values for dst, (idx, values) in send_plans[p].items()}
-            for p in range(K)
-        ]
+        columns = ColumnarPayloads.from_dicts(
+            [
+                {dst: values for dst, (idx, values) in send_plans[p].items()}
+                for p in range(K)
+            ],
+            K,
+        )
         if vpt is None:
             expected = np.array([len(needed[q]) for q in range(K)], dtype=np.int64)
-            run = sim.run_planned_direct(payloads, expected)
+            run = sim.run_planned_direct(columns, expected)
         else:
-            run = sim.run_planned_stfw(vpt, plan, payloads)
+            run = sim.run_planned_stfw(vpt, plan, columns)
         rank_returns = []
         for p in range(K):
             x_full = np.zeros(n, dtype=np.float64)

@@ -9,7 +9,7 @@ x-entries needed — exactly the ``SendSet`` structure Algorithm 1
 regularizes.
 
 Everything here is vectorized over the COO triplets, so million-nonzero
-matrices and 16K-way partitions reduce to a few ``np.unique`` calls.
+matrices and 16K-way partitions reduce to a few sort-and-dedup passes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.pattern import CommPattern
+from ..core.pattern import CommPattern, sort_unique
 from ..errors import PlanError
 from ..partition.base import Partition
 
@@ -42,7 +42,7 @@ def _needed_pairs(A: sp.spmatrix, partition: Partition) -> tuple[np.ndarray, np.
     if needer.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     key = needer * np.int64(n) + col
-    uniq = np.unique(key)
+    uniq = sort_unique(key)
     return (uniq // n).astype(np.int64), (uniq % n).astype(np.int64)
 
 

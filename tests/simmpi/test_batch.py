@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from repro.core import CommPattern, make_vpt, run_exchange
+from repro.core.stfw import _default_payloads
 from repro.errors import EngineConfigError, PlanError, SimMPIError
 from repro.network import BGQ, CRAY_XC40, CRAY_XK7
 from repro.obs import Tracer
 from repro.simmpi import FaultPlan, SimMPI, engine_names, run_spmd
 from repro.simmpi.analysis import to_chrome_trace
 from repro.simmpi.batch import BatchSimMPI
+from repro.simmpi.payloads import ColumnarPayloads
 
 
 def deep_eq(x, y):
@@ -136,6 +138,83 @@ class TestExchangeEquivalence:
             for _ in range(2)
         ]
         assert_same_result(runs[0].run, runs[1].run, "(repeat)")
+
+
+class TestColumnarPayloads:
+    """The batch engine's columnar input: synthetic columns and dict columns.
+
+    That default payloads deliver exactly as on the event engine (T_2,
+    T_3 and BL) is pinned by :class:`TestExchangeEquivalence`.
+    """
+
+    @pytest.fixture(scope="class")
+    def pattern(self):
+        return CommPattern.random(64, avg_degree=5, hot_processes=2, seed=21, words=3)
+
+    @pytest.mark.parametrize("scheme", ["STFW2", "BL"])
+    def test_delivered_payloads_are_disjoint_int64_views(self, pattern, scheme):
+        got = run_exchange(pattern, scheme=scheme, machine=BGQ, engine="batch")
+        payloads = [p for rank in got.delivered for _, p in rank]
+        assert len(payloads) == pattern.num_messages
+        spans = []
+        for p in payloads:
+            assert type(p) is np.ndarray and p.dtype == np.int64 and p.ndim == 1
+            lo = p.__array_interface__["data"][0]
+            spans.append((lo, lo + p.nbytes))
+        spans.sort()
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:])), "payloads overlap"
+
+    def test_default_payloads_are_the_synthetic_columns(self, pattern):
+        K = pattern.K
+        dicts = _default_payloads(pattern)
+        cols = ColumnarPayloads.synthetic(pattern)
+        assert deep_eq(dicts, cols.to_dicts())
+        for r in range(K):
+            assert list(dicts[r]) == list(pattern.sendset(r))
+            for t, p in dicts[r].items():
+                assert deep_eq(p, np.full(pattern.sendset(r)[t], r * K + t, dtype=np.int64))
+
+    def test_from_dicts_keeps_dict_order(self):
+        payloads = [{2: [1, 2], 1: [3]}, {}, {0: [4, 5, 6]}]
+        cols = ColumnarPayloads.from_dicts(payloads, 3)
+        assert cols.src.tolist() == [0, 0, 2]
+        assert cols.dst.tolist() == [2, 1, 0]
+        assert cols.size.tolist() == [2, 1, 3]
+        assert cols.to_dicts() == payloads
+
+    def test_from_dicts_wrong_dict_count_refused(self, pattern):
+        with pytest.raises(SimMPIError, match="got 63 payload dicts for K=64"):
+            run_exchange(
+                pattern, dims=2, machine=BGQ, payloads=_default_payloads(pattern)[:-1],
+                engine="batch",
+            )
+
+    @pytest.mark.parametrize("scheme", ["STFW2", "BL"])
+    def test_from_dicts_unsized_payload_refused(self, pattern, scheme):
+        payloads = _default_payloads(pattern)
+        r = int(pattern.src[0])
+        payloads[r][int(pattern.dst[0])] = 3.5
+        with pytest.raises(PlanError, match="payloads must be sized"):
+            run_exchange(
+                pattern, scheme=scheme, machine=BGQ, payloads=payloads, engine="batch"
+            )
+
+    def test_from_dicts_disagreeing_with_plan_refused(self, pattern):
+        payloads = _default_payloads(pattern)
+        r = int(pattern.src[0])
+        t = int(pattern.dst[0])
+        payloads[r][t] = payloads[r][t][:-1]  # one word short of the plan
+        with pytest.raises(SimMPIError, match="disagree with the planned pattern"):
+            run_exchange(
+                pattern, dims=2, machine=BGQ, payloads=payloads, engine="batch"
+            )
+
+    def test_payload_K_mismatch_refused(self, pattern):
+        sim = SimMPI(32, machine=BGQ, engine="batch")
+        with pytest.raises(SimMPIError, match="payloads for K=64"):
+            sim.run_planned_direct(
+                ColumnarPayloads.synthetic(pattern), np.zeros(32, dtype=np.int64)
+            )
 
 
 class TestSpMVEquivalence:
