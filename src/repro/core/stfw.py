@@ -343,7 +343,8 @@ def stfw_process(
     tracer:
         Optional :class:`repro.obs.Tracer`; records one virtual-time
         span per stage on this rank's track plus ``stfw.*`` counters
-        (per-stage message/word totals, origin vs forwarded words).
+        (per-stage message/word totals, origin vs forwarded words),
+        added once per stage when its send phase ends.
 
     Returns
     -------
@@ -392,33 +393,51 @@ def stfw_process(
         else:
             expect = int(recv_counts[d])
 
-        # send one coalesced message per non-empty buffer (lines 9-12)
+        # send one coalesced message per non-empty buffer (lines 9-12).
+        # Traced runs total the stage's counters in locals and flush
+        # them before the first receive — also when a send raises (a
+        # scheduled crash) — so the tracer holds every sent message's
+        # counts wherever the engine can stop this rank.
         w = weights[d]
         w_next = weights[d + 1]
         own_base = rank - ((rank // w) % dim_sizes[d]) * w
-        for digit in range(dim_sizes[d]):
-            subs = stage_buf[digit]
-            if not subs:
-                continue
-            stage_buf[digit] = None
-            try:
-                words = sum(len(p) for _, _, p in subs)
-            except TypeError as exc:
-                raise PlanError(
-                    "payloads must be sized (len()-able) objects"
-                ) from exc
-            if header_words:
-                words += header_words * len(subs)
-            comm.send(own_base + digit * w, subs, tag=d, words=words)
-            if obs is not None:
-                obs.count("stfw.stage_messages", 1, stage=d)
-                obs.count("stfw.stage_words", words, stage=d)
-                for _, src, payload in subs:
-                    pw = len(payload)
-                    if src == rank:
-                        obs.count("stfw.origin_words", pw, track=rank)
-                    else:
-                        obs.count("stfw.forwarded_words", pw, track=rank)
+        n_msgs = msg_words = 0
+        n_origin = origin_words = n_fwd = fwd_words = 0
+        try:
+            for digit in range(dim_sizes[d]):
+                subs = stage_buf[digit]
+                if not subs:
+                    continue
+                stage_buf[digit] = None
+                try:
+                    words = sum(len(p) for _, _, p in subs)
+                except TypeError as exc:
+                    raise PlanError(
+                        "payloads must be sized (len()-able) objects"
+                    ) from exc
+                if header_words:
+                    words += header_words * len(subs)
+                comm.send(own_base + digit * w, subs, tag=d, words=words)
+                if obs is not None:
+                    n_msgs += 1
+                    msg_words += words
+                    for _, src, payload in subs:
+                        if src == rank:
+                            n_origin += 1
+                            origin_words += len(payload)
+                        else:
+                            n_fwd += 1
+                            fwd_words += len(payload)
+        finally:
+            if n_msgs:
+                obs.count("stfw.stage_messages", n_msgs, stage=d)
+                obs.count("stfw.stage_words", msg_words, stage=d)
+                # a key exists iff a submessage was sent, even one of
+                # zero words
+                if n_origin:
+                    obs.count("stfw.origin_words", origin_words, track=rank)
+                if n_fwd:
+                    obs.count("stfw.forwarded_words", fwd_words, track=rank)
 
         # receive and scatter (lines 13-17); the wildcard-source recv
         # delivers stage-d messages in virtual arrival order.  Received

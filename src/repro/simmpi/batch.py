@@ -58,7 +58,7 @@ from ..network.machines import Machine
 from ..network.timing import recv_cost_many, send_cost_many
 from .message import RunResult, TraceRecord
 from .payloads import ColumnarPayloads
-from .runtime import RECV_ALPHA_FRACTION, SimMPI, trace_sort_key
+from .runtime import RECV_ALPHA_FRACTION, SimMPI, emit_engine_counters, trace_sort_key
 
 __all__ = ["BatchSimMPI"]
 
@@ -255,33 +255,6 @@ class BatchSimMPI(SimMPI):
                 f"engine K={self.K}"
             )
 
-    def _emit_engine_counters(
-        self,
-        sends: np.ndarray,
-        sent_words: np.ndarray,
-        recvs: np.ndarray,
-        recv_words: np.ndarray,
-    ) -> None:
-        """Emit the aggregated ``engine.*`` counters.
-
-        The event engine counts one increment per send/delivery; the
-        totals per track are identical, and counters are compared by
-        final value, so one aggregated emission per rank is exact.
-        """
-        obs = self._obs
-        if obs is None:
-            return
-        r_s = np.nonzero(sends)[0].tolist()
-        obs.count_batch("engine.sends", r_s, sends[r_s].tolist())
-        obs.count_batch(
-            "engine.sent_words", r_s, sent_words[r_s].astype(np.int64).tolist()
-        )
-        r_r = np.nonzero(recvs)[0].tolist()
-        obs.count_batch("engine.recvs", r_r, recvs[r_r].tolist())
-        obs.count_batch(
-            "engine.recv_words", r_r, recv_words[r_r].astype(np.int64).tolist()
-        )
-
     def _finalize_run(
         self,
         returns: list[Any],
@@ -404,8 +377,6 @@ class BatchSimMPI(SimMPI):
         total_sent_words = np.zeros(K, dtype=np.float64)
         total_recvs = np.zeros(K, dtype=np.int64)
         total_recv_words = np.zeros(K, dtype=np.float64)
-        origin_words = np.zeros(K, dtype=np.float64)
-        forwarded_words = np.zeros(K, dtype=np.float64)
 
         # routing state for the ordered replay, fully vectorized.  Each
         # (edge, hop) carries an *arrival key*: the global position at
@@ -456,15 +427,6 @@ class BatchSimMPI(SimMPI):
                 total_recv_words += np.bincount(rcv, weights=words, minlength=K)
                 obs.count("stfw.stage_messages", int(nm), stage=d)
                 obs.count("stfw.stage_words", int(words.sum()), stage=d)
-                h_snd = hop_sender[hsel]
-                h_sz = esize[e_idx[hsel]]
-                omask = h_snd == esrc[e_idx[hsel]]
-                origin_words += np.bincount(
-                    h_snd[omask], weights=h_sz[omask], minlength=K
-                )
-                forwarded_words += np.bincount(
-                    h_snd[~omask], weights=h_sz[~omask], minlength=K
-                )
 
             # ordered routing replay: each hop belongs to the bundled
             # message (hop_sender -> hop_recv); sorting the stage's hops
@@ -472,20 +434,24 @@ class BatchSimMPI(SimMPI):
             # exactly "for each delivered message in delivery order, its
             # bundle in buffer order".  Final hops land in the per-rank
             # delivery lists; the rest hand their edge the next arrival
-            # key, which seeds the bundle order of the next stage.
-            mkey = snd * K + rcv
-            mord = np.argsort(mkey, kind="stable")
+            # key, which seeds the bundle order of the next stage.  A
+            # coalesced stage carries its strictly increasing route keys,
+            # which index the messages without a sort.
             hkey = hop_sender[hsel] * K + hop_recv[hsel]
-            ins = np.searchsorted(mkey, hkey, sorter=mord)
-            if hkey.size:
-                m_of_hop = mord[np.minimum(ins, nm - 1)]
-                if ((ins >= nm) | (mkey[m_of_hop] != hkey)).any():
-                    raise SimMPIError(
-                        f"engine='batch' internal error: stage {d} routes "
-                        "a hop with no matching planned message"
-                    )
+            if st.route_key is not None:
+                mkey = st.route_key
+                ins = np.searchsorted(mkey, hkey)
+                m_of_hop = np.minimum(ins, nm - 1)
             else:
-                m_of_hop = ins
+                mkey = snd * K + rcv
+                mord = np.argsort(mkey, kind="stable")
+                ins = np.searchsorted(mkey, hkey, sorter=mord)
+                m_of_hop = mord[np.minimum(ins, nm - 1)]
+            if ((ins >= nm) | (mkey[m_of_hop] != hkey)).any():
+                raise SimMPIError(
+                    f"engine='batch' internal error: stage {d} routes "
+                    "a hop with no matching planned message"
+                )
             pos = np.empty(nm, dtype=np.int64)
             pos[dord] = np.arange(nm, dtype=np.int64)
             order = np.lexsort((hop_key[hsel], pos[m_of_hop]))
@@ -518,21 +484,24 @@ class BatchSimMPI(SimMPI):
             delivered = [[] for _ in range(K)]
 
         if obs is not None:
-            r_o = np.nonzero(origin_words)[0]
-            obs.count_batch(
-                "stfw.origin_words",
-                r_o.tolist(),
-                origin_words[r_o].astype(np.int64).tolist(),
+            # a hop from its edge's source carries origin words, any
+            # later hop forwarded words; a rank's key exists iff it sent
+            # such a hop, even one of zero words
+            origin = hop_sender == esrc[e_idx]
+            hop_words = esize[e_idx]
+            for name, sel in (
+                ("stfw.origin_words", origin),
+                ("stfw.forwarded_words", ~origin),
+            ):
+                senders = hop_sender[sel]
+                ranks = np.flatnonzero(np.bincount(senders, minlength=K))
+                sums = np.bincount(senders, weights=hop_words[sel], minlength=K)
+                obs.count_batch(
+                    name, ranks.tolist(), sums[ranks].astype(np.int64).tolist()
+                )
+            emit_engine_counters(
+                obs, total_sends, total_sent_words, total_recvs, total_recv_words
             )
-            r_f = np.nonzero(forwarded_words)[0]
-            obs.count_batch(
-                "stfw.forwarded_words",
-                r_f.tolist(),
-                forwarded_words[r_f].astype(np.int64).tolist(),
-            )
-        self._emit_engine_counters(
-            total_sends, total_sent_words, total_recvs, total_recv_words
-        )
         return self._finalize_run(delivered, clocks, trace_parts)
 
     # ------------------------------------------------------------------
@@ -585,7 +554,8 @@ class BatchSimMPI(SimMPI):
             if obs is not None:
                 obs.count("direct.messages", int(nm))
                 obs.count("direct.words", int(esize.sum()))
-                self._emit_engine_counters(
+                emit_engine_counters(
+                    obs,
                     cnt_s,
                     np.bincount(snd, weights=esize, minlength=K),
                     cnt_r,

@@ -126,6 +126,7 @@ __all__ = [
     "run_spmd",
     "RECV_ALPHA_FRACTION",
     "collective_outcome",
+    "emit_engine_counters",
     "engine_lookahead",
     "shrink_cost",
     "trace_sort_key",
@@ -280,6 +281,30 @@ def engine_lookahead(machine: Machine | None, fault_plan: FaultPlan | None) -> f
     if fault_plan is not None and fault_plan.stragglers:
         la *= min(1.0, min(fault_plan.stragglers.values()))
     return la
+
+
+def emit_engine_counters(obs, sends, sent_words, recvs, recv_words) -> None:
+    """Add per-rank ``engine.*`` totals to ``obs``, one bulk call each.
+
+    The four arguments are length-``K`` sequences indexed by rank (sends
+    and sent words, receives and received words).  Every backend emits
+    through here.  Aggregated emission leaves the same accumulators as
+    one increment per message: the counts and word sums are integers,
+    so the float totals are exact in any order.  A rank gets its send
+    (receive) keys only if it sent (received) at least one message,
+    even when every such message carried zero words.
+    """
+    for n_name, w_name, n, w in (
+        ("engine.sends", "engine.sent_words", sends, sent_words),
+        ("engine.recvs", "engine.recv_words", recvs, recv_words),
+    ):
+        n = np.asarray(n, dtype=np.int64)
+        ranks = np.flatnonzero(n)
+        tracks = ranks.tolist()
+        obs.count_batch(n_name, tracks, n[ranks].tolist())
+        obs.count_batch(
+            w_name, tracks, np.asarray(w)[ranks].astype(np.int64).tolist()
+        )
 
 
 class Comm:
@@ -507,6 +532,10 @@ class _ProcState:
         "resume_value",
         "queued",
         "send_seq",
+        "n_sends",
+        "sent_words",
+        "n_recvs",
+        "recv_words",
     )
 
     def __init__(self, gen: Generator | None):
@@ -522,6 +551,12 @@ class _ProcState:
         self.resume_value: Any = None
         #: True while the rank sits in the engine's ready deque
         self.queued = False
+        #: traced runs only: this run's ``engine.*`` totals, flushed
+        #: once by :func:`emit_engine_counters` when the run ends
+        self.n_sends = 0
+        self.sent_words = 0
+        self.n_recvs = 0
+        self.recv_words = 0
 
 
 class SimMPI:
@@ -753,8 +788,8 @@ class SimMPI:
             sender.send_seq += 1
             dest_state.mailbox.post(twin)
         if obs is not None:
-            obs.count("engine.sends", 1, track=source)
-            obs.count("engine.sent_words", words, track=source)
+            sender.n_sends += 1
+            sender.sent_words += words
             if duplicate:
                 obs.instant(
                     "fault.duplicate", start, track=source, cat="fault",
@@ -793,11 +828,21 @@ class SimMPI:
                     arrive_time=env.arrive_time,
                 )
             )
-        obs = self._obs
-        if obs is not None:
-            obs.count("engine.recvs", 1, track=rank)
-            obs.count("engine.recv_words", env.words, track=rank)
+        if self._obs is not None:
+            state.n_recvs += 1
+            state.recv_words += env.words
         return (env.source, env.tag, env.payload)
+
+    def _flush_engine_counters(self) -> None:
+        """Emit this run's per-rank ``engine.*`` totals (traced runs)."""
+        procs = self._procs
+        emit_engine_counters(
+            self._obs,
+            [p.n_sends for p in procs],
+            [p.sent_words for p in procs],
+            [p.n_recvs for p in procs],
+            [p.recv_words for p in procs],
+        )
 
     # ------------------------------------------------------------------
     # Run loop
@@ -891,8 +936,22 @@ class SimMPI:
         ``proc_factory(comm)`` must return a generator (a function
         using ``yield`` for blocking calls) or a plain value for ranks
         that perform no blocking communication.
+
+        With a tracer the ``engine.*`` counters are flushed once, when
+        the run ends — also when it ends in a deadlock or a crash — so
+        the tracer holds this run's totals whenever ``run`` returns or
+        raises.
         """
-        self._reset(proc_factory)
+        try:
+            self._reset(proc_factory)
+            self._event_loop()
+        finally:
+            if self._obs is not None:
+                self._flush_engine_counters()
+        return self._finalize()
+
+    def _event_loop(self) -> None:
+        """Drive ranks, collectives and timers until every rank finishes."""
         while True:
             # event loop: drive ready ranks until nothing is runnable
             self._drain_ready()
@@ -943,8 +1002,6 @@ class SimMPI:
                 [r for r in range(self.K) if not self._procs[r].finished]
             )
 
-        return self._finalize()
-
     def _raise_horizon_at_quiescence(self) -> bool:
         """Advance the safe horizon once nothing is runnable.
 
@@ -955,13 +1012,14 @@ class SimMPI:
         resume only through a completion, which raises the horizon
         itself).  Any future send then arrives at or after
         ``min_floor + lookahead``, so the horizon may rise to that
-        bound; if the raise releases a held wildcard candidate, the
-        blocked receivers are woken and the caller must re-drain before
-        arbitrating collectives or timers.  Returns True iff a held
-        envelope was released.
+        bound; if the raise releases held wildcard candidates, exactly
+        the receivers whose candidate it releases are woken (in rank
+        order) and the caller must re-drain before arbitrating
+        collectives or timers.  Returns True iff a held envelope was
+        released.
         """
         min_floor = math.inf
-        min_held = math.inf
+        held: list[tuple[float, int]] = []
         for r in range(self.K):
             state = self._procs[r]
             if state.finished:
@@ -974,12 +1032,10 @@ class SimMPI:
             if cand is not None:
                 if cand < floor:
                     floor = cand
-                if (
-                    (op.source == ANY_SOURCE or op.tag == ANY_TAG)
-                    and cand >= self._horizon
-                    and cand < min_held
-                ):
-                    min_held = cand
+                if op.source == ANY_SOURCE or op.tag == ANY_TAG:
+                    # a wildcard match succeeds iff its earliest
+                    # matchable arrival is below the horizon
+                    held.append((cand, r))
             if floor < min_floor:
                 min_floor = floor
         if min_floor == math.inf:
@@ -989,17 +1045,13 @@ class SimMPI:
         H2 = min_floor + self._lookahead
         if H2 <= self._horizon:
             return False
-        self._horizon = H2
-        if min_held >= H2:
+        H1, self._horizon = self._horizon, H2
+        if not any(H1 <= cand < H2 for cand, _ in held):
             return False
-        for r in range(self.K):
-            state = self._procs[r]
-            if state.finished:
-                continue
-            op = state.blocked_on
-            if isinstance(op, _RecvOp) and (
-                op.source == ANY_SOURCE or op.tag == ANY_TAG
-            ):
+        # waking a receiver whose candidate stays held (or that has
+        # none) would only cost a failed match in the drain loop
+        for cand, r in held:
+            if cand < H2:
                 self._wake(r)
         return True
 

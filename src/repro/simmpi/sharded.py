@@ -197,8 +197,8 @@ class _ShardEngine(SimMPI):
         )
         sender.send_seq += 1
         if obs is not None:
-            obs.count("engine.sends", 1, track=source)
-            obs.count("engine.sent_words", words, track=source)
+            sender.n_sends += 1
+            sender.sent_words += words
 
     def _kill_rank(self, rank: int, state: _ProcState, *, at: float) -> None:
         super()._kill_rank(rank, state, at=at)
@@ -363,6 +363,9 @@ class _ShardEngine(SimMPI):
         )
 
     def _cmd_finish(self) -> tuple:
+        if self._obs is not None:
+            # the shard's run ends here, not in ``SimMPI.run``
+            self._flush_engine_counters()
         returns = [(r, self._procs[r].retval) for r in self._owned]
         clocks = [(r, self._procs[r].clock) for r in self._owned]
         fs = self._faults

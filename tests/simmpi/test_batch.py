@@ -139,6 +139,48 @@ class TestExchangeEquivalence:
         ]
         assert_same_result(runs[0].run, runs[1].run, "(repeat)")
 
+    @staticmethod
+    def _run_plan(pattern, vpt, plan):
+        sim = SimMPI(pattern.K, machine=BGQ, trace=True, engine="batch")
+        return sim.run_planned_stfw(vpt, plan, ColumnarPayloads.synthetic(pattern))
+
+    def test_route_key_less_plan_replays_identically(self, pattern):
+        # deserialized plans carry no route keys; the replay sorts the
+        # stage keys itself and must land every hop on the same message
+        from dataclasses import replace
+
+        from repro.core.plan import build_plan
+
+        vpt = make_vpt(64, 3)
+        plan = build_plan(pattern, vpt)
+        assert all(st.route_key is not None for st in plan.stages)
+        keyless = replace(
+            plan, stages=[replace(st, route_key=None) for st in plan.stages]
+        )
+        base = self._run_plan(pattern, vpt, plan)
+        got = self._run_plan(pattern, vpt, keyless)
+        assert_same_result(base, got, "(route_key=None)")
+
+    @pytest.mark.parametrize("keyed", [True, False])
+    def test_hop_without_planned_message_refused(self, pattern, keyed):
+        from dataclasses import replace
+
+        from repro.core.plan import build_plan
+
+        vpt = make_vpt(64, 2)
+        plan = build_plan(pattern, vpt)
+        st = plan.stages[1]
+        # re-aim the stage's last message: its hops match no message
+        receiver = st.receiver.copy()
+        receiver[-1] = (receiver[-1] + 1) % 64
+        if receiver[-1] == st.sender[-1]:
+            receiver[-1] = (receiver[-1] + 1) % 64
+        key = st.sender * 64 + receiver
+        bad = replace(st, receiver=receiver, route_key=key if keyed else None)
+        tampered = replace(plan, stages=[plan.stages[0], bad])
+        with pytest.raises(SimMPIError, match="no matching planned message"):
+            self._run_plan(pattern, vpt, tampered)
+
 
 class TestColumnarPayloads:
     """The batch engine's columnar input: synthetic columns and dict columns.
